@@ -196,7 +196,13 @@ fn dying_cone_area(nl: &Netlist, root: NetId, lib: &Library) -> f64 {
             dying.insert(g);
         }
     }
-    dying.iter().map(|&g| lib.area(nl.gate(g).kind)).sum()
+    // Sum in cone order: `HashSet` order varies from run to run, and the
+    // rounding of an f64 sum depends on its order, which would flip the
+    // caller's tie test between runs.
+    cone.iter()
+        .filter(|g| dying.contains(g))
+        .map(|&g| lib.area(nl.gate(g).kind))
+        .sum()
 }
 
 /// Extracts a sum-of-products cover of the cone by structural collapse
