@@ -1,18 +1,15 @@
-//! End-to-end `compile` benchmark: the AIG optimization pipeline vs the
-//! original (pre-AIG) pass order, and the rule mapper vs the cut-based
-//! mapper, on the shipped `benchmarks/` controllers.
+//! End-to-end `compile` benchmark: the rule mapper vs the cut-based mapper
+//! on the shipped `benchmarks/` controllers.
 //!
 //! Each KISS2 controller is lowered in the table coding style (the paper's
-//! recommended generator output) and compiled three ways:
+//! recommended generator output) and compiled two ways:
 //!
 //! * `aig`  — `SynthOptions::default()`: AIG front half + rule mapper;
-//! * `seed` — `.without_aig()`: the seed pass order (`const_fold`/`strash`
-//!   fixpoint loops), the PR 4 A/B baseline;
 //! * `cuts` — `.with_cut_mapper()`: AIG front half + cut-based technology
 //!   mapping (`--mapper cuts`).
 //!
 //! Median wall-clock, final gate count, mapped area, and critical-path
-//! delay for every variant are written to `BENCH_synth.json` at the
+//! delay for both variants are written to `BENCH_synth.json` at the
 //! workspace root, so both the compile-time trajectory *and* the mapper
 //! area/delay tradeoff are tracked across PRs alongside
 //! `BENCH_espresso.json`.
@@ -92,9 +89,8 @@ fn bench(c: &mut Criterion) {
     let quick =
         std::env::args().any(|a| a == "--quick") || std::env::var_os("QUICK_BENCH").is_some();
     let lib = Library::vt90();
-    let variants: [(&str, SynthOptions); 3] = [
+    let variants: [(&str, SynthOptions); 2] = [
         ("aig", SynthOptions::default()),
-        ("seed", SynthOptions::default().without_aig()),
         ("cuts", SynthOptions::default().with_cut_mapper()),
     ];
     let mut g = c.benchmark_group("bench_synth");
@@ -113,24 +109,18 @@ fn bench(c: &mut Criterion) {
             .map(|(vname, opts)| (*vname, measure(&elab, &lib, opts, rounds)))
             .collect();
         let aig = &measured[0].1;
-        let seed = &measured[1].1;
-        let cuts = &measured[2].1;
+        let cuts = &measured[1].1;
         println!(
-            "{name}: aig {:.3} ms ({} gates, {:.1} µm², {:.3} ns) | seed {:.3} ms ({} gates, \
-             {:.1} µm²) | cuts {:.3} ms ({} gates, {:.1} µm², {:.3} ns) | aig speedup {:.2}x, \
-             cut-map area {:+.1}%",
+            "{name}: aig {:.3} ms ({} gates, {:.1} µm², {:.3} ns) | cuts {:.3} ms ({} gates, \
+             {:.1} µm², {:.3} ns) | cut-map area {:+.1}%",
             aig.ms,
             aig.gates,
             aig.area,
             aig.critical_ns,
-            seed.ms,
-            seed.gates,
-            seed.area,
             cuts.ms,
             cuts.gates,
             cuts.area,
             cuts.critical_ns,
-            seed.ms / aig.ms,
             (cuts.area - aig.area) / aig.area * 100.0,
         );
         rows.push((name, measured));
@@ -138,25 +128,25 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     let mut json = String::from(
-        "{\n  \"benchmark\": \"synth::flow::compile: AIG pipeline vs original (pre-AIG) pass \
-         order, rule mapper (aig) vs cut-based mapper (cuts)\",\n  \"unit\": \"ms (median \
+        "{\n  \"benchmark\": \"synth::flow::compile: rule mapper (aig) vs cut-based mapper \
+         (cuts)\",\n  \"unit\": \"ms (median \
          wall-clock), um2 (mapped area), ns (critical path)\",\n  \"workloads\": {\n",
     );
     for (i, (name, measured)) in rows.iter().enumerate() {
-        let aig = &measured[0].1;
-        let seed = &measured[1].1;
         json.push_str(&format!("    \"{name}\": {{\n"));
-        for (vname, r) in measured.iter() {
-            // Always a trailing comma: the speedup summary row follows.
+        for (j, (vname, r)) in measured.iter().enumerate() {
             json.push_str(&format!(
                 "      \"{vname}\": {{\"ms\": {:.3}, \"gates\": {}, \"area_um2\": {:.1}, \
-                 \"critical_ns\": {:.4}}},\n",
-                r.ms, r.gates, r.area, r.critical_ns,
+                 \"critical_ns\": {:.4}}}{}\n",
+                r.ms,
+                r.gates,
+                r.area,
+                r.critical_ns,
+                if j + 1 < measured.len() { "," } else { "" }
             ));
         }
         json.push_str(&format!(
-            "      \"aig_speedup_vs_seed\": {:.2}\n    }}{}\n",
-            seed.ms / aig.ms,
+            "    }}{}\n",
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

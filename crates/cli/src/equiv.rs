@@ -137,6 +137,8 @@ pub fn run(args: &Args) -> CmdResult {
         )));
     }
 
+    left_style.check(&left_spec)?;
+    right_style.check(&right_spec)?;
     let lower = |spec: &FsmSpec, style: Style| -> Result<Netlist, CliError> {
         let elab = elaborate(&style.lower(spec))?;
         if args.flag("synth") {

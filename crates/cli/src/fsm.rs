@@ -35,20 +35,12 @@ options:
                   depth-oriented and area-recovery cover selection)
   --no-synth      elaborate only; skip the synthesis flow
   --sat-sweep     enable SAT sweeping inside the AIG cleanup pass
-  --no-aig        use the original (pre-AIG) pass order
   --verify-passes SAT-check the netlist after every synthesis pass against
                   its predecessor (slow; debug aid)
 ";
 
 /// Boolean flags `synthir fsm` accepts (each documented in [`USAGE`]).
-pub const FLAGS: &[&str] = &[
-    "report",
-    "json",
-    "no-synth",
-    "verify-passes",
-    "sat-sweep",
-    "no-aig",
-];
+pub const FLAGS: &[&str] = &["report", "json", "no-synth", "verify-passes", "sat-sweep"];
 
 /// Valued options `synthir fsm` accepts (each documented in [`USAGE`]).
 pub const OPTIONS: &[&str] = &["style", "o", "clock", "mapper"];
@@ -81,6 +73,11 @@ impl Style {
     }
 
     /// Lowers a spec in this style.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is too wide for the case style; [`Style::check`]
+    /// reports that as an error instead.
     pub fn lower(self, spec: &FsmSpec) -> Module {
         match self {
             Style::Table => spec.to_table_module(false),
@@ -88,6 +85,27 @@ impl Style {
             Style::Case => spec.to_case_module(),
             Style::Programmable => spec.to_programmable_module(),
         }
+    }
+
+    /// Checks that [`Style::lower`] can lower `spec` in this style.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] when the case style would exceed its minimizer's
+    /// width limit ([`FsmSpec::CASE_MAX_VARS`] state plus input bits).
+    pub fn check(self, spec: &FsmSpec) -> Result<(), CliError> {
+        let vars = spec.state_bits() + spec.num_inputs();
+        if self == Style::Case && vars > FsmSpec::CASE_MAX_VARS {
+            return Err(CliError(format!(
+                "`{}` is too wide for the case style: {} state bits + {} inputs \
+                 = {vars} variables, over the limit of {}",
+                spec.name(),
+                spec.state_bits(),
+                spec.num_inputs(),
+                FsmSpec::CASE_MAX_VARS
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -105,6 +123,7 @@ pub fn run(args: &Args) -> CmdResult {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
     let spec = from_kiss2(design_name(path), &text)?;
+    style.check(&spec)?;
     let module = style.lower(&spec);
 
     let json = args.flag("json");
@@ -154,9 +173,6 @@ pub fn run(args: &Args) -> CmdResult {
         }
         if args.flag("sat-sweep") {
             sopts.sat_sweep = true;
-        }
-        if args.flag("no-aig") {
-            sopts.aig = false;
         }
         if let Some(m) = args.option("mapper") {
             sopts.mapper = Mapper::parse(m).map_err(|bad| {
@@ -225,8 +241,8 @@ mod tests {
         let path = write_temp("cli_fsm_toggle.kiss2", TOGGLE);
         let args = Args::parse(
             &[path.as_str(), "--style", "table", "--report", "-o", "-"],
-            &["report", "no-synth"],
-            &["style", "o", "clock"],
+            FLAGS,
+            OPTIONS,
         )
         .unwrap();
         let out = run(&args).unwrap();
@@ -239,12 +255,7 @@ mod tests {
     fn all_styles_lower() {
         let path = write_temp("cli_fsm_styles.kiss2", TOGGLE);
         for style in ["table", "table-annotated", "case", "programmable"] {
-            let args = Args::parse(
-                &[path.as_str(), "--style", style],
-                &["report", "no-synth"],
-                &["style", "o", "clock"],
-            )
-            .unwrap();
+            let args = Args::parse(&[path.as_str(), "--style", style], FLAGS, OPTIONS).unwrap();
             let out = run(&args).unwrap();
             assert!(out.contains("synthesized"), "style {style}: {out}");
         }
@@ -253,22 +264,12 @@ mod tests {
     #[test]
     fn no_synth_skips_the_flow() {
         let path = write_temp("cli_fsm_nosynth.kiss2", TOGGLE);
-        let args = Args::parse(
-            &[path.as_str(), "--no-synth"],
-            &["report", "no-synth"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
+        let args = Args::parse(&[path.as_str(), "--no-synth"], FLAGS, OPTIONS).unwrap();
         let out = run(&args).unwrap();
         assert!(out.contains("synthesis skipped"), "{out}");
         // --report still works without the synthesis flow: it renders the
         // netlist-only statistics.
-        let args = Args::parse(
-            &[path.as_str(), "--no-synth", "--report"],
-            &["report", "no-synth"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
+        let args = Args::parse(&[path.as_str(), "--no-synth", "--report"], FLAGS, OPTIONS).unwrap();
         let out = run(&args).unwrap();
         assert!(out.contains("area"), "{out}");
         assert!(out.contains("power"), "{out}");
@@ -277,12 +278,7 @@ mod tests {
     #[test]
     fn verify_passes_flag_runs_the_checked_flow() {
         let path = write_temp("cli_fsm_verify.kiss2", TOGGLE);
-        let args = Args::parse(
-            &[path.as_str(), "--verify-passes"],
-            &["report", "no-synth", "verify-passes"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
+        let args = Args::parse(&[path.as_str(), "--verify-passes"], FLAGS, OPTIONS).unwrap();
         let out = run(&args).unwrap();
         assert!(out.contains("synthesized"), "{out}");
     }
@@ -290,12 +286,7 @@ mod tests {
     #[test]
     fn json_output_carries_pass_stats() {
         let path = write_temp("cli_fsm_json.kiss2", TOGGLE);
-        let args = Args::parse(
-            &[path.as_str(), "--json"],
-            &["report", "json", "no-synth", "sat-sweep", "no-aig"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
+        let args = Args::parse(&[path.as_str(), "--json"], FLAGS, OPTIONS).unwrap();
         let out = run(&args).unwrap();
         for needle in [
             "\"design\"",
@@ -307,27 +298,44 @@ mod tests {
         ] {
             assert!(out.contains(needle), "missing {needle} in {out}");
         }
-        // The sweep + seed-pipeline flags parse and run too.
-        let args = Args::parse(
-            &[path.as_str(), "--json", "--sat-sweep"],
-            &["report", "json", "no-synth", "sat-sweep", "no-aig"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
+        // The sweep flag parses and runs too.
+        let args = Args::parse(&[path.as_str(), "--json", "--sat-sweep"], FLAGS, OPTIONS).unwrap();
         assert!(run(&args).unwrap().contains("\"passes\""));
-        let args = Args::parse(
-            &[path.as_str(), "--json", "--no-aig"],
-            &["report", "json", "no-synth", "sat-sweep", "no-aig"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
-        let out = run(&args).unwrap();
-        assert!(out.contains("\"const_fold\""), "{out}");
+    }
+
+    /// A valid spec too wide for the case style's minimizer (16 inputs and
+    /// 32 states: 21 variables) is refused with an error naming the limit,
+    /// by both subcommands that lower it, instead of panicking.
+    #[test]
+    fn case_style_too_wide_is_an_error() {
+        let mut kiss = String::from(".i 16\n.o 1\n.r s0\n");
+        for i in 0..32 {
+            kiss.push_str(&format!(
+                "{} s{i} s{} {}\n",
+                "-".repeat(16),
+                (i + 1) % 32,
+                i % 2
+            ));
+        }
+        let path = write_temp("cli_fsm_wide.kiss2", &kiss);
+        let args = Args::parse(&[path.as_str(), "--style", "case"], FLAGS, OPTIONS).unwrap();
+        let err = run(&args).unwrap_err().0;
+        assert!(err.contains("limit of 20"), "{err}");
+        for side in ["--left", "--right"] {
+            let args = Args::parse(
+                &[path.as_str(), path.as_str(), side, "case"],
+                crate::equiv::FLAGS,
+                crate::equiv::OPTIONS,
+            )
+            .unwrap();
+            let err = crate::equiv::run(&args).unwrap_err().0;
+            assert!(err.contains("limit of 20"), "{side}: {err}");
+        }
     }
 
     #[test]
     fn missing_file_and_bad_style_error() {
-        let args = Args::parse(&["/nonexistent.kiss2"], &[], &["style", "o"]).unwrap();
+        let args = Args::parse(&["/nonexistent.kiss2"], FLAGS, OPTIONS).unwrap();
         assert!(run(&args).is_err());
         assert!(Style::parse("bogus").is_err());
     }

@@ -46,6 +46,10 @@ pub struct FsmSpec {
 }
 
 impl FsmSpec {
+    /// Widest `state bits + input bits` that [`FsmSpec::to_case_module`]
+    /// accepts: it minimizes truth tables over that many variables.
+    pub const CASE_MAX_VARS: usize = 20;
+
     /// Creates an FSM with `m` input bits and `n` output bits.
     ///
     /// # Panics
@@ -356,10 +360,18 @@ impl FsmSpec {
     /// minimized from the tables (with unused state codes as don't-cares),
     /// with the FSM metadata attached — modelling the tool-recommended
     /// case-statement idiom that synthesis recognizes automatically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if state bits plus input bits exceed
+    /// [`FsmSpec::CASE_MAX_VARS`].
     pub fn to_case_module(&self) -> Module {
         let sb = self.state_bits();
         let nvars = sb + self.num_inputs;
-        assert!(nvars <= 20, "case-style FSM too wide to minimize");
+        assert!(
+            nvars <= Self::CASE_MAX_VARS,
+            "case-style FSM too wide to minimize"
+        );
         let mut m = Module::new(format!("{}_case", self.name));
         m.add_input("in", self.num_inputs);
         let addr = Expr::concat(vec![Expr::reference("state"), Expr::reference("in")]);
@@ -370,8 +382,8 @@ impl FsmSpec {
         });
         // Build the per-bit truth tables for next-state and output logic,
         // then hand the whole multi-output PLA to the batch minimizer: each
-        // bit is an independent job, minimized concurrently under the
-        // `parallel` feature (identical results to the serial path).
+        // bit is an independent job, minimized concurrently (identical
+        // results to the serial path).
         let bit_tt = |bit_fn: &dyn Fn(usize) -> bool| -> synthir_logic::TruthTable {
             synthir_logic::TruthTable::from_fn(nvars, bit_fn)
         };

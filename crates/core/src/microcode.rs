@@ -443,8 +443,8 @@ impl MicroProgram {
     ///
     /// This is the two-level form a fully partially-evaluated control store
     /// converges to; the bits are independent outputs of one PLA, so they
-    /// are minimized as a batch (concurrently under `synthir-logic`'s
-    /// `parallel` feature, with results identical to the serial path).
+    /// are minimized as a batch (concurrently, with results identical to
+    /// the serial path).
     ///
     /// # Panics
     ///

@@ -5,37 +5,26 @@
 //! independent result. [`par_map`] runs such jobs on scoped OS threads
 //! (`std::thread::scope` — no external dependency, keeping the offline
 //! build self-contained) and returns results **in input order**, so the
-//! parallel path is bit-identical to the serial one.
-//!
-//! The whole module is gated on the `parallel` cargo feature (enabled by
-//! default); without it, [`par_map`] degrades to a plain serial map with
-//! zero overhead.
+//! parallel path is bit-identical to the serial one. `SYNTHIR_THREADS=1`
+//! selects the serial path.
 
 /// The number of worker threads [`par_map`] will use at most: the
 /// `SYNTHIR_THREADS` environment variable when set (clamped to ≥ 1),
-/// otherwise the machine's available parallelism. Without the `parallel`
-/// feature this is always 1.
+/// otherwise the machine's available parallelism.
 pub fn max_threads() -> usize {
-    #[cfg(feature = "parallel")]
+    if let Some(n) = std::env::var("SYNTHIR_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
     {
-        if let Some(n) = std::env::var("SYNTHIR_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return n.max(1);
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        return n.max(1);
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
-/// Maps `f` over `items`, in parallel when the `parallel` feature is
-/// enabled and the job count warrants it. The output vector is always in
+/// Maps `f` over `items`, in parallel when [`max_threads`] and the job
+/// count allow it. The output vector is always in
 /// input order, making the parallel result identical to the serial one.
 ///
 /// # Examples
@@ -50,17 +39,13 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        let workers = max_threads().min(items.len());
-        if workers > 1 && !IN_PARALLEL.get() {
-            return par_map_scoped(items, &f, workers);
-        }
+    let workers = max_threads().min(items.len());
+    if workers > 1 && !IN_PARALLEL.get() {
+        return par_map_scoped(items, &f, workers);
     }
     items.iter().map(f).collect()
 }
 
-#[cfg(feature = "parallel")]
 std::thread_local! {
     /// Whether this thread is already a [`par_map`] worker. Nested calls
     /// (a parallel benchmark sweep whose jobs themselves batch-minimize)
@@ -69,7 +54,6 @@ std::thread_local! {
     static IN_PARALLEL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-#[cfg(feature = "parallel")]
 fn par_map_scoped<T, U, F>(items: &[T], f: &F, workers: usize) -> Vec<U>
 where
     T: Sync,

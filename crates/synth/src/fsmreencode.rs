@@ -21,13 +21,17 @@
 //!    don't-cares.
 
 use crate::factor::emit_cover;
-use crate::options::{FsmEncoding, SynthOptions};
+use crate::options::FsmEncoding;
 use crate::SynthError;
 use std::collections::{BTreeSet, HashMap};
 use synthir_logic::espresso::EspressoOptions;
 use synthir_logic::{BitVec, Cover, TruthTable};
 use synthir_netlist::{topo, GateId, GateKind, NetId, Netlist, ResetKind};
 use synthir_rtl::elaborate::FsmNets;
+
+/// Enumeration budget (reachable codes × input combinations) for FSM
+/// extraction.
+const ENUM_LIMIT: usize = 1 << 18;
 
 /// Re-encodes the FSM. Returns `Ok(true)` when the netlist was rewritten.
 ///
@@ -40,7 +44,7 @@ use synthir_rtl::elaborate::FsmNets;
 pub fn fsm_reencode(
     nl: &mut Netlist,
     fsm: &FsmNets,
-    opts: &SynthOptions,
+    encoding: FsmEncoding,
 ) -> Result<bool, SynthError> {
     let state_width = fsm.state_nets.len();
     if state_width == 0 || state_width > 24 {
@@ -108,7 +112,7 @@ pub fn fsm_reencode(
     let others: Vec<NetId> = others.into_iter().collect();
     let f = others.len();
     let max_codes = 1usize << state_width.min(20);
-    if f > 20 || max_codes.saturating_mul(1 << f) > opts.fsm_enum_limit {
+    if f > 20 || max_codes.saturating_mul(1 << f) > ENUM_LIMIT {
         return Err(SynthError::FsmExtraction(format!(
             "enumeration budget exceeded ({} inputs, {} possible codes)",
             f, max_codes
@@ -202,13 +206,13 @@ pub fn fsm_reencode(
     let idx_of: HashMap<u128, usize> = reachable.iter().enumerate().map(|(i, &c)| (c, i)).collect();
 
     // --- 3. Choose the new encoding. ---
-    let new_codes: Vec<u128> = match opts.fsm_encoding {
+    let new_codes: Vec<u128> = match encoding {
         FsmEncoding::Binary => (0..n_states as u128).collect(),
         FsmEncoding::Gray => (0..n_states as u128).map(|i| i ^ (i >> 1)).collect(),
         FsmEncoding::OneHot => (0..n_states).map(|i| 1u128 << i).collect(),
         FsmEncoding::Keep => reachable.clone(),
     };
-    let new_width = match opts.fsm_encoding {
+    let new_width = match encoding {
         FsmEncoding::OneHot => n_states,
         FsmEncoding::Keep => state_width,
         _ => {
@@ -245,7 +249,7 @@ pub fn fsm_reencode(
     // Collect the truth table of every root to rebuild (next-state bits,
     // outputs, non-state flop D inputs), then minimize them as one batch:
     // the per-root jobs are independent, so the batch driver runs them
-    // concurrently under the `parallel` feature with identical results.
+    // concurrently with identical results.
     let root_tt = |value_of: &dyn Fn(usize, usize) -> bool| -> TruthTable {
         // value_of(state_idx, combo)
         TruthTable::from_fn(total_vars, |m| {
@@ -384,8 +388,7 @@ mod tests {
     fn reencode_preserves_behaviour() {
         let (mut nl, fsm) = mod3_counter(false);
         let golden = nl.clone();
-        let opts = SynthOptions::default();
-        assert!(fsm_reencode(&mut nl, &fsm, &opts).unwrap());
+        assert!(fsm_reencode(&mut nl, &fsm, FsmEncoding::Binary).unwrap());
         crate::constfold::const_fold(&mut nl);
         let res =
             synthir_sim::check_seq_equiv(&golden, &nl, &synthir_sim::EquivOptions::new()).unwrap();
@@ -395,12 +398,8 @@ mod tests {
     #[test]
     fn onehot_encoding_uses_one_flop_per_state() {
         let (mut nl, fsm) = mod3_counter(false);
-        let opts = SynthOptions {
-            fsm_encoding: FsmEncoding::OneHot,
-            ..Default::default()
-        };
         let golden = mod3_counter(false).0;
-        fsm_reencode(&mut nl, &fsm, &opts).unwrap();
+        fsm_reencode(&mut nl, &fsm, FsmEncoding::OneHot).unwrap();
         // One-hot over 3 states allocates 3 state bits, but the third is
         // inferable from the other two and may be swept.
         assert!(nl.flop_count() >= 2 && nl.flop_count() <= 3);
@@ -414,11 +413,7 @@ mod tests {
         for enc in [FsmEncoding::Gray, FsmEncoding::Keep, FsmEncoding::Binary] {
             let (mut nl, fsm) = mod3_counter(false);
             let golden = nl.clone();
-            let opts = SynthOptions {
-                fsm_encoding: enc,
-                ..Default::default()
-            };
-            fsm_reencode(&mut nl, &fsm, &opts).unwrap();
+            fsm_reencode(&mut nl, &fsm, enc).unwrap();
             let res = synthir_sim::check_seq_equiv(&golden, &nl, &synthir_sim::EquivOptions::new())
                 .unwrap();
             assert!(res.is_equivalent(), "{enc:?}: {res:?}");
@@ -436,9 +431,8 @@ mod tests {
             codes: vec![0, 1],
             reset_code: 0,
         };
-        let opts = SynthOptions::default();
         assert!(matches!(
-            fsm_reencode(&mut nl, &fsm, &opts),
+            fsm_reencode(&mut nl, &fsm, FsmEncoding::Binary),
             Err(SynthError::FsmExtraction(_))
         ));
     }

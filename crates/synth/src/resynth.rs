@@ -12,10 +12,16 @@
 
 use crate::conefn::cone_function;
 use crate::factor::emit_cover;
-use crate::options::SynthOptions;
 use synthir_logic::espresso::{minimize, EspressoOptions};
 use synthir_logic::{Cover, Cube, TruthTable};
 use synthir_netlist::{topo, GateKind, Library, NetId, Netlist};
+
+/// Maximum cone support for collapse-and-re-cover. Models the tool's
+/// effort limit; cones wider than this keep their structural form.
+const COLLAPSE_SUPPORT: usize = 14;
+/// Rebuilds whose minimized cover exceeds this many cubes are rejected
+/// (protects parity-like functions from exponential covers).
+const MAX_COVER_CUBES: usize = 96;
 
 /// Re-covers all eligible cones. Returns the number of cones rebuilt.
 ///
@@ -31,7 +37,7 @@ use synthir_netlist::{topo, GateKind, Library, NetId, Netlist};
 /// against the current netlist — a cone altered by an earlier rebuild is
 /// simply re-minimized on the spot. Either way the result is identical to
 /// a fully serial pass.
-pub fn resynthesize(nl: &mut Netlist, opts: &SynthOptions) -> usize {
+pub fn resynthesize(nl: &mut Netlist) -> usize {
     let mut roots: Vec<NetId> = Vec::new();
     for net in nl.output_nets() {
         roots.push(net);
@@ -44,11 +50,11 @@ pub fn resynthesize(nl: &mut Netlist, opts: &SynthOptions) -> usize {
     roots.sort();
     roots.dedup();
     let plans: Vec<Option<ConePlan>> =
-        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root, opts));
+        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root));
     let mut rebuilt = 0;
     let mut mutated = false;
     for (&root, plan) in roots.iter().zip(&plans) {
-        if rebuild_root(nl, root, opts, plan.as_ref(), &mut mutated) {
+        if rebuild_root(nl, root, plan.as_ref(), &mut mutated) {
             rebuilt += 1;
         }
     }
@@ -65,17 +71,17 @@ struct ConePlan {
     minimized: Cover,
 }
 
-fn plan_root(nl: &Netlist, root: NetId, opts: &SynthOptions) -> Option<ConePlan> {
+fn plan_root(nl: &Netlist, root: NetId) -> Option<ConePlan> {
     let driver = nl.driver(root)?;
     let kind = nl.gate(driver).kind;
     if kind.is_sequential() || kind.is_constant() {
         return None;
     }
-    let (support, tt) = cone_function(nl, root, opts.collapse_support)?;
+    let (support, tt) = cone_function(nl, root, COLLAPSE_SUPPORT)?;
     if tt.as_constant().is_some() {
         return None; // cheap: handled directly in phase 2
     }
-    let start = structural_cover(nl, root, &support, 4 * opts.max_cover_cubes)
+    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
     let minimized = minimize(&start, None, &EspressoOptions::default());
     Some(ConePlan {
@@ -89,7 +95,6 @@ fn plan_root(nl: &Netlist, root: NetId, opts: &SynthOptions) -> Option<ConePlan>
 fn rebuild_root(
     nl: &mut Netlist,
     root: NetId,
-    opts: &SynthOptions,
     plan: Option<&ConePlan>,
     mutated: &mut bool,
 ) -> bool {
@@ -98,7 +103,7 @@ fn rebuild_root(
     // just repeat phase 1's work serially.
     if let Some(p) = plan {
         if !*mutated {
-            return apply_rebuild(nl, root, opts, &p.support, &p.tt, &p.minimized, mutated);
+            return apply_rebuild(nl, root, &p.support, &p.tt, &p.minimized, mutated);
         }
     }
     let Some(driver) = nl.driver(root) else {
@@ -108,7 +113,7 @@ fn rebuild_root(
     if kind.is_sequential() || kind.is_constant() {
         return false;
     }
-    let Some((support, tt)) = cone_function(nl, root, opts.collapse_support) else {
+    let Some((support, tt)) = cone_function(nl, root, COLLAPSE_SUPPORT) else {
         return false;
     };
     if let Some(v) = tt.as_constant() {
@@ -119,13 +124,13 @@ fn rebuild_root(
     }
     // Seed the minimizer with the structural cover when it is small enough;
     // otherwise fall back to the canonical minterm cover.
-    let start = structural_cover(nl, root, &support, 4 * opts.max_cover_cubes)
+    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
     let minimized = match plan {
         Some(p) if p.support == support && p.tt == tt && p.start == start => p.minimized.clone(),
         _ => minimize(&start, None, &EspressoOptions::default()),
     };
-    apply_rebuild(nl, root, opts, &support, &tt, &minimized, mutated)
+    apply_rebuild(nl, root, &support, &tt, &minimized, mutated)
 }
 
 /// Accepts or rejects a minimized cover for a cone and stitches it in when
@@ -133,13 +138,12 @@ fn rebuild_root(
 fn apply_rebuild(
     nl: &mut Netlist,
     root: NetId,
-    opts: &SynthOptions,
     support: &[NetId],
     tt: &TruthTable,
     minimized: &Cover,
     mutated: &mut bool,
 ) -> bool {
-    if minimized.cube_count() > opts.max_cover_cubes {
+    if minimized.cube_count() > MAX_COVER_CUBES {
         return false; // parity-like function: keep the structural form
     }
     debug_assert_eq!(
@@ -367,8 +371,7 @@ mod tests {
 
         let before = nl.num_gates();
         crate::constfold::const_fold(&mut nl);
-        let opts = SynthOptions::default();
-        resynthesize(&mut nl, &opts);
+        resynthesize(&mut nl);
         crate::constfold::const_fold(&mut nl);
         assert!(nl.num_gates() < before);
         // Function preserved.
@@ -393,8 +396,7 @@ mod tests {
         }
         nl.add_output("y", &[acc]);
         let before = nl.num_gates();
-        let opts = SynthOptions::default();
-        resynthesize(&mut nl, &opts);
+        resynthesize(&mut nl);
         assert_eq!(nl.num_gates(), before);
     }
 
@@ -429,8 +431,7 @@ mod tests {
             &[d],
         );
         nl.add_output("q", &[q]);
-        let opts = SynthOptions::default();
-        resynthesize(&mut nl, &opts);
+        resynthesize(&mut nl);
         crate::constfold::const_fold(&mut nl);
         // The D cone should now be the input directly.
         let flop = nl

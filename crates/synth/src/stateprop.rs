@@ -12,10 +12,10 @@
 //! * **flop boundaries stop propagation** — the cone exploration never
 //!   crosses a sequential element, so an annotation on logic *before* a flop
 //!   does nothing for logic *after* it (the paper's Fig. 8 finding); and
-//! * **an effort cap on `k`** — sets wider than
-//!   [`crate::SynthOptions::max_valueset`] are ignored, which reproduces the
-//!   paper's observation that annotating subfields wider than 32 bits stops
-//!   being effective.
+//! * **an effort cap on `k`** — sets wider than `max_k` (32 in
+//!   [`crate::flow::compile`], the paper's value) are ignored, which
+//!   reproduces the paper's observation that annotating subfields wider
+//!   than 32 bits stops being effective.
 
 use std::collections::{HashMap, HashSet};
 use synthir_netlist::{topo, NetId, Netlist};
