@@ -6,7 +6,8 @@
 //! nets it swallows have no other fanout, so the rewrite is always
 //! area-neutral or better under [`synthir_netlist::Library::vt90`].
 
-use synthir_netlist::{GateId, GateKind, Netlist};
+use std::collections::HashSet;
+use synthir_netlist::{Gate, GateId, GateKind, NetId, Netlist};
 
 /// Runs the peephole mapper to a fixpoint. Returns the number of rewrites.
 pub fn techmap(nl: &mut Netlist) -> usize {
@@ -24,7 +25,7 @@ pub fn techmap(nl: &mut Netlist) -> usize {
 
 fn map_once(nl: &mut Netlist) -> usize {
     let fanout = nl.fanout_map();
-    let out_nets: std::collections::HashSet<_> = nl.output_nets().into_iter().collect();
+    let out_nets: HashSet<NetId> = nl.output_nets().into_iter().collect();
     let single_fanout = |nl: &Netlist, gid: GateId| -> bool {
         let out = nl.gate(gid).output;
         fanout[out.index()].len() == 1 && !out_nets.contains(&out)
@@ -62,7 +63,9 @@ fn map_once(nl: &mut Netlist) -> usize {
                 };
                 // AOI/OAI patterns: Inv(Or2(And2(a,b), c)) etc.
                 if ig.kind == Or2 {
-                    if let Some((aoi_inputs, wide)) = match_and_or(nl, &ig, true) {
+                    if let Some((aoi_inputs, wide)) =
+                        match_and_or(nl, &ig, true, &fanout, &out_nets)
+                    {
                         if wide {
                             nl.rewrite_gate(gid, Aoi22, &aoi_inputs);
                         } else {
@@ -73,7 +76,9 @@ fn map_once(nl: &mut Netlist) -> usize {
                     }
                 }
                 if ig.kind == And2 {
-                    if let Some((oai_inputs, wide)) = match_and_or(nl, &ig, false) {
+                    if let Some((oai_inputs, wide)) =
+                        match_and_or(nl, &ig, false, &fanout, &out_nets)
+                    {
                         if wide {
                             nl.rewrite_gate(gid, Oai22, &oai_inputs);
                         } else {
@@ -104,20 +109,21 @@ fn map_once(nl: &mut Netlist) -> usize {
 
 /// For an Or2 (when `and_inner`) finds `Or2(And2(a,b), c)` → `[a,b,c]`
 /// (Aoi21) or `Or2(And2(a,b), And2(c,d))` → `[a,b,c,d]` (Aoi22); dual for
-/// And2 with Or2 children. Inner gates must be single-fanout.
+/// And2 with Or2 children. Inner gates must be single-fanout under the
+/// round's `fanout` map and drive no output port.
 fn match_and_or(
     nl: &Netlist,
-    outer: &synthir_netlist::Gate,
+    outer: &Gate,
     and_inner: bool,
-) -> Option<(Vec<synthir_netlist::NetId>, bool)> {
+    fanout: &[Vec<GateId>],
+    out_nets: &HashSet<NetId>,
+) -> Option<(Vec<NetId>, bool)> {
     let want = if and_inner {
         GateKind::And2
     } else {
         GateKind::Or2
     };
-    let fanout = nl.fanout_map();
-    let out_nets: std::collections::HashSet<_> = nl.output_nets().into_iter().collect();
-    let inner_of = |n: synthir_netlist::NetId| -> Option<&synthir_netlist::Gate> {
+    let inner_of = |n: NetId| -> Option<&Gate> {
         let d = nl.driver(n)?;
         let g = nl.gate(d);
         if g.kind == want && fanout[n.index()].len() == 1 && !out_nets.contains(&n) {
@@ -140,7 +146,7 @@ fn match_and_or(
 fn try_widen(
     nl: &mut Netlist,
     gid: GateId,
-    g: &synthir_netlist::Gate,
+    g: &Gate,
     single_fanout: &dyn Fn(&Netlist, GateId) -> bool,
 ) -> bool {
     let (two, three, four) = match g.kind {
