@@ -286,8 +286,8 @@ impl Aig {
 
     /// The conjunction of two literals, with constant folding, one- and
     /// two-level rewriting, and structural hashing applied at construction
-    /// time — the AIG-native fusion of the netlist `const_fold` + `strash`
-    /// passes.
+    /// time, so constant propagation and structural sharing happen as the
+    /// graph is built.
     pub fn and(&mut self, a: AigLit, b: AigLit) -> AigLit {
         // Normalize operand order so permuted duplicates hash alike.
         let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
@@ -508,6 +508,13 @@ impl Aig {
     /// keeps. Dead latches (observing nothing and observed by nothing) are
     /// *not* marked, mirroring `Netlist::sweep`.
     pub fn live_marks(&self, extra: &[AigLit]) -> Vec<bool> {
+        self.live_marks_except(extra, &[])
+    }
+
+    /// [`Aig::live_marks`] for a graph in which the latches flagged in
+    /// `stuck` (indexed like [`Aig::latches`]) are constants: their
+    /// next-state and reset cones are not followed.
+    pub(crate) fn live_marks_except(&self, extra: &[AigLit], stuck: &[bool]) -> Vec<bool> {
         let mut mark = vec![false; self.nodes.len()];
         let mut stack: Vec<u32> = Vec::new();
         let seed = |mark: &mut Vec<bool>, stack: &mut Vec<u32>, l: AigLit| {
@@ -531,12 +538,12 @@ impl Aig {
                         seed(&mut mark, &mut stack, f);
                     }
                 }
-                AigNode::Latch(idx) => {
+                AigNode::Latch(idx) if !stuck.get(idx as usize).copied().unwrap_or(false) => {
                     let l = self.latches[idx as usize];
                     seed(&mut mark, &mut stack, l.next);
                     seed(&mut mark, &mut stack, l.reset_lit);
                 }
-                AigNode::Const0 | AigNode::Input => {}
+                AigNode::Const0 | AigNode::Input | AigNode::Latch(_) => {}
             }
         }
         mark

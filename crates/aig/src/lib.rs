@@ -19,7 +19,8 @@
 //!   cones (the CNF encoder's path), preserving port names and flop
 //!   semantics and returning the net → literal map annotations ride on;
 //! * [`export`] — `Aig → Netlist` with an implicit dangling-node sweep;
-//! * [`mod@rewrite`] — local rewriting (2-input-cut NPN resynthesis) and
+//! * [`mod@rewrite`] — local rewriting (2-input-cut NPN resynthesis, and
+//!   folding of latches stuck at their init value) and
 //!   [`rewrite::compact`];
 //! * [`satsweep`] — candidate equivalence classes from 64-bit random
 //!   simulation signatures, confirmed by the [`synthir_sat`] CDCL solver

@@ -9,6 +9,8 @@
 //! implementation of its 2-input function (one of the 16 NPN-classified
 //! two-variable functions): constants, single literals, one AND, or an
 //! XOR/XNOR pair — never more nodes than the structural form it replaces.
+//! Latches that can never leave their init value (constant or self-looped
+//! D pins, directly or through other such latches) become that constant.
 
 use crate::graph::{Aig, AigLit, AigNode};
 
@@ -79,7 +81,8 @@ fn compose(first: &[AigLit], then: &Rebuilt) -> Vec<AigLit> {
 /// One rebuild round: copies inputs/latches, re-derives live ANDs (with the
 /// NPN step when `npn` is set), and rewires latches and output ports.
 fn rebuild(aig: &Aig, keep: &[AigLit], npn: bool) -> Rebuilt {
-    let live = aig.live_marks(keep);
+    let stuck = stuck_latches(aig, keep);
+    let live = aig.live_marks_except(keep, &stuck);
     let mut out = Aig::new(aig.name());
     let mut map: Vec<AigLit> = vec![AigLit::FALSE; aig.node_count()];
     // Ports first (interface preserved), then stray inputs in node order.
@@ -96,9 +99,13 @@ fn rebuild(aig: &Aig, keep: &[AigLit], npn: bool) -> Rebuilt {
             map[i] = out.add_input();
         }
     }
-    for l in aig.latches() {
+    for (l, &s) in aig.latches().iter().zip(&stuck) {
         if live[l.output as usize] {
-            map[l.output as usize] = out.add_latch(l.reset, l.init);
+            map[l.output as usize] = if s {
+                out.constant(l.init)
+            } else {
+                out.add_latch(l.reset, l.init)
+            };
         }
     }
     let trans = |map: &[AigLit], l: AigLit| -> AigLit {
@@ -118,8 +125,8 @@ fn rebuild(aig: &Aig, keep: &[AigLit], npn: bool) -> Rebuilt {
             };
         }
     }
-    for old in aig.latches() {
-        if !live[old.output as usize] {
+    for (old, &s) in aig.latches().iter().zip(&stuck) {
+        if s || !live[old.output as usize] {
             continue;
         }
         let q = map[old.output as usize];
@@ -130,6 +137,61 @@ fn rebuild(aig: &Aig, keep: &[AigLit], npn: bool) -> Rebuilt {
         out.add_output_port(&p.name, &lits);
     }
     Rebuilt { aig: out, map }
+}
+
+/// Flags (indexed like [`Aig::latches`]) the latches that hold their init
+/// value forever: a latch whose next state is the constant equal to its
+/// init or its own output, and every latch that only ever sees such
+/// values.
+///
+/// Three-valued simulation to a greatest fixpoint: assume every candidate
+/// is stuck at its init value, evaluate the next-state functions with the
+/// inputs and all other latches unknown, release each candidate whose next
+/// state is not definitely its init value, and repeat until nothing is
+/// released. Reset only reloads init, so by induction over cycles the
+/// survivors never leave it. Kept latches are never candidates: a caller
+/// keeps a latch literal to find the flop behind it (the FSM state
+/// register).
+fn stuck_latches(aig: &Aig, keep: &[AigLit]) -> Vec<bool> {
+    const X: u8 = 2;
+    let latches = aig.latches();
+    let mut stuck = vec![true; latches.len()];
+    for k in keep {
+        if let AigNode::Latch(idx) = aig.nodes()[k.node() as usize] {
+            stuck[idx as usize] = false;
+        }
+    }
+    let lit = |val: &[u8], l: AigLit| match val[l.node() as usize] {
+        X => X,
+        v => v ^ u8::from(l.is_complemented()),
+    };
+    let mut val = vec![X; aig.node_count()];
+    while stuck.contains(&true) {
+        for (i, n) in aig.nodes().iter().enumerate() {
+            val[i] = match *n {
+                AigNode::Const0 => 0,
+                AigNode::Input => X,
+                AigNode::Latch(idx) if stuck[idx as usize] => u8::from(latches[idx as usize].init),
+                AigNode::Latch(_) => X,
+                AigNode::And(a, b) => match (lit(&val, a), lit(&val, b)) {
+                    (0, _) | (_, 0) => 0,
+                    (1, 1) => 1,
+                    _ => X,
+                },
+            };
+        }
+        let mut released = false;
+        for (s, l) in stuck.iter_mut().zip(latches) {
+            if *s && lit(&val, l.next) != u8::from(l.init) {
+                *s = false;
+                released = true;
+            }
+        }
+        if !released {
+            break;
+        }
+    }
+    stuck
 }
 
 /// `and(a, b)` with the 2-input-cut NPN step: if the two-level
@@ -273,6 +335,74 @@ mod tests {
         let r = compact(&g, &[]);
         assert_eq!(r.aig.and_count(), 1);
         assert!(r.aig.latches().is_empty() || r.aig.latches().len() < g.latches().len());
+    }
+
+    /// Netlist → AIG → `rewrite` → netlist.
+    fn rewrite_netlist(nl: &synthir_netlist::Netlist) -> synthir_netlist::Netlist {
+        let imp = crate::from_netlist(nl).unwrap();
+        crate::to_netlist(&rewrite(&imp.aig, &[]).aig, &[]).netlist
+    }
+
+    #[test]
+    fn constant_flop_folds() {
+        use synthir_netlist::{GateKind, Netlist, ResetKind};
+        let mut nl = Netlist::new("t");
+        let c0 = nl.const0();
+        let rst = nl.add_input("rst", 1)[0];
+        let q = nl.add_gate(
+            GateKind::Dff {
+                reset: ResetKind::Sync,
+                init: false,
+            },
+            &[c0, rst],
+        );
+        nl.add_output("q", &[q]);
+        let nl = rewrite_netlist(&nl);
+        assert_eq!(nl.flop_count(), 0);
+        assert_eq!(nl.as_constant(nl.output_nets()[0]), Some(false));
+    }
+
+    #[test]
+    fn flop_with_nonmatching_constant_kept() {
+        // D=1 but init=0: the flop output changes after the first cycle, so
+        // it must not fold.
+        use synthir_netlist::{GateKind, Netlist, ResetKind};
+        let mut nl = Netlist::new("t");
+        let c1 = nl.const1();
+        let q = nl.add_gate(
+            GateKind::Dff {
+                reset: ResetKind::None,
+                init: false,
+            },
+            &[c1],
+        );
+        nl.add_output("q", &[q]);
+        assert_eq!(rewrite_netlist(&nl).flop_count(), 1);
+    }
+
+    #[test]
+    fn self_loops_and_the_flops_they_feed_fold() {
+        use synthir_netlist::ResetKind;
+        let mut g = Aig::new("t");
+        let a = g.add_input_port("a", 1)[0];
+        // q0 holds itself; q1 loads `q0 & a`, which is init 0 forever.
+        let q0 = g.add_latch(ResetKind::None, true);
+        g.set_latch_next(q0, q0, AigLit::FALSE);
+        let q1 = g.add_latch(ResetKind::None, false);
+        let d1 = g.and(!q0, a);
+        g.set_latch_next(q1, d1, AigLit::FALSE);
+        // q2 toggles: never stuck.
+        let q2 = g.add_latch(ResetKind::None, false);
+        g.set_latch_next(q2, !q2, AigLit::FALSE);
+        g.add_output_port("y", &[q0, q1, q2]);
+        let r = rewrite(&g, &[]);
+        assert_eq!(r.aig.latches().len(), 1);
+        let y = &r.aig.output_ports()[0].lits;
+        assert_eq!(&y[..2], &[AigLit::TRUE, AigLit::FALSE]);
+        // A kept latch stays a latch even when it is stuck, and so q1 no
+        // longer sees a constant.
+        let r = rewrite(&g, &[q0]);
+        assert_eq!(r.aig.latches().len(), 3);
     }
 
     #[test]

@@ -216,26 +216,43 @@ fn ucode_benchmark_assembles_and_synthesizes() {
 }
 
 /// The verified flow (`verify_each_pass`) stays green on every shipped
-/// controller: every pass, the AIG passes included, is SAT-checked against
-/// its predecessor, with and without SAT sweeping.
+/// controller in every style: every pass, each AIG cleanup included, is
+/// SAT-checked against its predecessor, with and without SAT sweeping.
+/// The programmable lowerings (over 100 flops each) skip the swept run,
+/// which would double the test's time; CI runs that one on `dma_ctrl`.
 #[test]
 fn verified_flows_pass_on_all_benchmarks() {
+    use synthir_cli::fsm::Style;
     use synthir_core::format_conv::from_kiss2;
     use synthir_netlist::Library;
     use synthir_rtl::elaborate;
     use synthir_synth::{compile, SynthOptions};
 
     let lib = Library::vt90();
+    let verified = SynthOptions::default().with_verify_each_pass();
+    let swept = verified.clone().with_sat_sweep();
     for path in kiss2_benchmarks() {
         let text = std::fs::read_to_string(&path).unwrap();
         let spec = from_kiss2("bench", &text).unwrap();
-        let elab = elaborate(&spec.to_table_module(true)).unwrap();
-        let verified = SynthOptions::default().with_verify_each_pass();
-        compile(&elab, &lib, &verified).unwrap();
-        let swept = SynthOptions::default()
-            .with_sat_sweep()
-            .with_verify_each_pass();
-        compile(&elab, &lib, &swept).unwrap();
+        for style in [
+            Style::Table,
+            Style::TableAnnotated,
+            Style::Case,
+            Style::Programmable,
+        ] {
+            style.check(&spec).unwrap();
+            let elab = elaborate(&style.lower(&spec)).unwrap();
+            let runs = if style == Style::Programmable {
+                &[&verified][..]
+            } else {
+                &[&verified, &swept][..]
+            };
+            for opts in runs {
+                if let Err(e) = compile(&elab, &lib, opts) {
+                    panic!("{path} {style:?}: {e}");
+                }
+            }
+        }
     }
 }
 

@@ -1,15 +1,15 @@
 //! The AIG cleanup pass: the netlist-facing wrapper around the
 //! [`synthir_aig`] optimization core.
 //!
-//! One invocation replaces what previously took two fixpoint loops over the
-//! flat netlist (`const_fold` + `strash`, each re-sorting and re-hashing the
-//! whole graph per round): the netlist is imported into a structurally
-//! hashed And-Inverter Graph — where constant folding, sharing, and two-level
-//! simplification happen *at construction* — locally rewritten (2-input-cut
-//! NPN resynthesis plus dangling-node sweep), optionally SAT-swept, and
-//! exported back. Port names, flop reset/init semantics, and the FSM /
-//! value-set annotations the paper's flow depends on are carried across the
-//! round-trip by literal maps.
+//! This is the synthesis flow's only cleanup engine: it runs first and
+//! again after every pass that restructures the netlist. One invocation
+//! imports the netlist into a structurally hashed And-Inverter Graph —
+//! where constant folding, sharing, and two-level simplification happen
+//! *at construction* — locally rewrites it (2-input-cut NPN resynthesis,
+//! stuck-at-init flop folding, dangling-node sweep), optionally SAT-sweeps
+//! it, and exports it back. Port names, flop reset/init semantics, and the
+//! FSM / value-set annotations the paper's flow depends on are carried
+//! across the round-trip by literal maps.
 
 use synthir_aig::{from_netlist, optimize, to_netlist, AigLit, SweepOptions};
 use synthir_netlist::{NetId, Netlist};
@@ -107,6 +107,113 @@ mod tests {
         // One And2 remains.
         assert_eq!(nl.num_gates(), 1);
         nl.validate().unwrap();
+    }
+
+    /// Runs the cleanup with no metadata.
+    fn optimize(nl: &mut Netlist) {
+        aig_optimize(nl, None, &mut [], false);
+        nl.validate().unwrap();
+    }
+
+    #[test]
+    fn folds_constant_and() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let c1 = nl.const1();
+        let y = nl.add_gate(GateKind::And2, &[a, c1]);
+        nl.add_output("y", &[y]);
+        optimize(&mut nl);
+        // The AND is gone; output is the input directly.
+        assert_eq!(nl.output_nets()[0], nl.input("a").unwrap().nets[0]);
+        assert_eq!(nl.num_gates(), 0);
+    }
+
+    #[test]
+    fn folds_mux_tree_of_constants() {
+        // A 4:1 constant mux tree holding 0,1,1,0 is XOR.
+        let mut nl = Netlist::new("t");
+        let s = nl.add_input("s", 2);
+        let c0 = nl.const0();
+        let c1 = nl.const1();
+        let lo = nl.add_gate(GateKind::Mux2, &[s[0], c0, c1]);
+        let hi = nl.add_gate(GateKind::Mux2, &[s[0], c1, c0]);
+        let y = nl.add_gate(GateKind::Mux2, &[s[1], lo, hi]);
+        nl.add_output("y", &[y]);
+        optimize(&mut nl);
+        let lib = synthir_netlist::Library::vt90();
+        assert!(nl.area_report(&lib).combinational <= 2.0 * lib.area(GateKind::Xor2));
+        assert!(nl.num_gates() <= 3);
+    }
+
+    #[test]
+    fn removes_double_inverters_and_buffers() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let b = nl.add_gate(GateKind::Buf, &[a]);
+        let i1 = nl.add_gate(GateKind::Inv, &[b]);
+        let i2 = nl.add_gate(GateKind::Inv, &[i1]);
+        nl.add_output("y", &[i2]);
+        optimize(&mut nl);
+        assert_eq!(nl.output_nets()[0], nl.input("a").unwrap().nets[0]);
+    }
+
+    #[test]
+    fn folds_xor_identities() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let same = nl.add_gate(GateKind::Xor2, &[a, a]);
+        let na = nl.add_gate(GateKind::Inv, &[a]);
+        let comp = nl.add_gate(GateKind::Xnor2, &[a, na]);
+        nl.add_output("z", &[same]);
+        nl.add_output("c", &[comp]);
+        optimize(&mut nl);
+        assert_eq!(nl.as_constant(nl.output_nets()[0]), Some(false));
+        assert_eq!(nl.as_constant(nl.output_nets()[1]), Some(false));
+    }
+
+    #[test]
+    fn and_with_complement_is_zero() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let na = nl.add_gate(GateKind::Inv, &[a]);
+        let y = nl.add_gate(GateKind::And2, &[a, na]);
+        nl.add_output("y", &[y]);
+        optimize(&mut nl);
+        assert_eq!(nl.as_constant(nl.output_nets()[0]), Some(false));
+    }
+
+    #[test]
+    fn mux_strength_reduction() {
+        let mut nl = Netlist::new("t");
+        let s = nl.add_input("s", 1)[0];
+        let d = nl.add_input("d", 1)[0];
+        let c0 = nl.const0();
+        let y = nl.add_gate(GateKind::Mux2, &[s, c0, d]);
+        nl.add_output("y", &[y]);
+        optimize(&mut nl);
+        let g = nl.driver(nl.output_nets()[0]).unwrap();
+        assert_eq!(nl.gate(g).kind, GateKind::And2);
+    }
+
+    #[test]
+    fn nary_gates_shrink() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let b = nl.add_input("b", 1)[0];
+        let c1 = nl.const1();
+        let y = nl.add_gate(GateKind::And3, &[a, c1, b]);
+        nl.add_output("y", &[y]);
+        optimize(&mut nl);
+        let g = nl.driver(nl.output_nets()[0]).unwrap();
+        assert_eq!(nl.gate(g).kind, GateKind::And2);
+        // Nand with a zero input is constant one.
+        let mut nl2 = Netlist::new("t2");
+        let a2 = nl2.add_input("a", 1)[0];
+        let c0 = nl2.const0();
+        let y2 = nl2.add_gate(GateKind::Nand3, &[a2, c0, a2]);
+        nl2.add_output("y", &[y2]);
+        optimize(&mut nl2);
+        assert_eq!(nl2.as_constant(nl2.output_nets()[0]), Some(true));
     }
 
     #[test]

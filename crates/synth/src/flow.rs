@@ -11,7 +11,7 @@ use synthir_rtl::elaborate::{Elaborated, FsmNets, NetGroupValues};
 /// changed, and what it cost.
 #[derive(Clone, Debug)]
 pub struct PassStat {
-    /// Pass name (`aig_opt`, `const_fold`, `resynthesize`, …).
+    /// Pass name (`aig_opt`, `fsm_reencode`, `resynthesize`, …).
     pub name: &'static str,
     /// Number of rewrites/merges/folds the pass applied (pass-specific
     /// unit; 0 for a pass that ran but changed nothing).
@@ -81,13 +81,14 @@ fn run_pass(
 
 /// Compiles a raw netlist with optional FSM metadata and annotations.
 ///
-/// The front half of the flow runs on the structurally-hashed
-/// And-Inverter Graph ([`crate::aigopt`]): one graph-construction pass,
-/// with local rewriting and the optional SAT sweep
-/// ([`SynthOptions::sat_sweep`]), does constant folding and sharing before
-/// the netlist is handed to FSM re-encoding, state propagation,
-/// resynthesis, and technology mapping. After the rule mapper the mapped
-/// netlist gets one extra single-sweep [`crate::strash::strash`].
+/// The flow has one cleanup engine, the structurally-hashed And-Inverter
+/// Graph pass [`crate::aigopt`]: graph construction with local rewriting
+/// and the optional SAT sweep ([`SynthOptions::sat_sweep`]) does constant
+/// folding and sharing. It runs first, then again (recorded as `aig_opt`
+/// each time) after every pass that restructured the netlist: FSM
+/// re-encoding, retiming, state propagation and resynthesis. Technology
+/// mapping follows; after the rule mapper the mapped netlist gets one
+/// single-sweep [`crate::strash::strash`] (`strash_mapped`).
 ///
 /// # Errors
 ///
@@ -121,6 +122,13 @@ pub fn compile_netlist(
         crate::aigopt::aig_optimize(nl, fsm.as_mut(), &mut annos, opts.sat_sweep)
     });
     verifier.check(&nl, "aig_opt")?;
+    // The same pass cleans up after every step below that restructures
+    // the netlist. Only the first run needs the FSM metadata.
+    let cleanup = |stats: &mut Vec<PassStat>, nl: &mut Netlist, annos: &mut [NetGroupValues]| {
+        run_pass(stats, nl, "aig_opt", |nl| {
+            crate::aigopt::aig_optimize(nl, None, annos, opts.sat_sweep)
+        });
+    };
 
     // 2. FSM re-encoding (only with metadata, like the real tool).
     if let Some(f) = fsm.as_ref() {
@@ -135,18 +143,13 @@ pub fn compile_netlist(
                     gates_after: nl.num_gates(),
                     elapsed: t0.elapsed(),
                 });
-                run_pass(
-                    &mut stats,
-                    &mut nl,
-                    "const_fold",
-                    crate::constfold::const_fold,
-                );
+                cleanup(&mut stats, &mut nl, &mut annos);
                 verifier.check(&nl, "fsm_reencode")?;
             }
             Ok(false) => {}
             Err(SynthError::FsmExtraction(_)) => stats.push(PassStat {
                 name: "fsm_reencode_skipped",
-                rewrites: 1,
+                rewrites: 0,
                 gates_before,
                 gates_after: nl.num_gates(),
                 elapsed: t0.elapsed(),
@@ -167,12 +170,7 @@ pub fn compile_netlist(
             moved
         });
         if moved > 0 {
-            run_pass(
-                &mut stats,
-                &mut nl,
-                "const_fold",
-                crate::constfold::const_fold,
-            );
+            cleanup(&mut stats, &mut nl, &mut annos);
         }
         verifier.check(&nl, "retime")?;
     }
@@ -185,36 +183,21 @@ pub fn compile_netlist(
             folded
         });
         if folded > 0 {
-            run_pass(
-                &mut stats,
-                &mut nl,
-                "const_fold",
-                crate::constfold::const_fold,
-            );
+            cleanup(&mut stats, &mut nl, &mut annos);
         }
         verifier.check(&nl, "state_propagation")?;
     }
 
-    // 5. Collapse-and-re-cover resynthesis, then clean up again. The
-    // cleanup stays on the flat netlist: resynthesis emits the n-ary
-    // And/Or structure technology mapping patterns against, and an AIG
-    // round-trip here would re-decompose it to 2-input form right before
-    // mapping.
+    // 5. Collapse-and-re-cover resynthesis, then clean up again, so the
+    // mapper sees a folded, shared netlist.
     run_pass(
         &mut stats,
         &mut nl,
         "resynthesize",
         crate::resynth::resynthesize,
     );
-    run_pass(
-        &mut stats,
-        &mut nl,
-        "const_fold",
-        crate::constfold::const_fold,
-    );
+    cleanup(&mut stats, &mut nl, &mut annos);
     verifier.check(&nl, "resynthesize")?;
-    run_pass(&mut stats, &mut nl, "strash", crate::strash::strash);
-    verifier.check(&nl, "strash")?;
 
     // 6. Technology mapping. The rule mapper rewrites the flat netlist in
     // place (then shares over the *mapped* gates — AOI conversion can
@@ -456,6 +439,29 @@ mod tests {
             let res = synthir_sim::check_seq_equiv(&elab.netlist, &r.netlist, &eopts).unwrap();
             assert!(res.is_equivalent(), "seed {seed}");
         }
+    }
+
+    /// A skipped FSM re-encode changed nothing, so it reports no rewrites.
+    #[test]
+    fn skipped_fsm_reencode_reports_no_rewrites() {
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x", 2);
+        let y = nl.add_gate(synthir_netlist::GateKind::And2, &[x[0], x[1]]);
+        nl.add_output("y", &[y]);
+        // The "state" net is driven by a gate, not a flop.
+        let fsm = FsmNets {
+            state_nets: vec![y],
+            codes: vec![0, 1],
+            reset_code: 0,
+        };
+        let lib = Library::vt90();
+        let r = compile_netlist(nl, Some(&fsm), &[], &lib, &SynthOptions::default()).unwrap();
+        let skipped = r
+            .stats
+            .iter()
+            .find(|s| s.name == "fsm_reencode_skipped")
+            .expect("re-encode skipped");
+        assert_eq!(skipped.rewrites, 0);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! table-based controllers and rely on the synthesis tool to specialize them
 //! ("partial evaluation"), *provided* the tool performs:
 //!
-//! 1. **constant propagation and folding** — [`constfold`]: configuration
-//!    constants flow through the lookup structure and collapse it;
+//! 1. **constant propagation and folding** — [`aigopt`]: configuration
+//!    constants flow through the lookup structure and collapse it as the
+//!    netlist is rebuilt into a structurally-hashed And-Inverter Graph,
+//!    which also shares identical logic; the flow runs this one cleanup
+//!    after every pass that restructures the netlist;
 //! 2. **two-level re-covering** — [`resynth`]: small cones are collapsed to
 //!    truth tables and re-covered with an espresso-style minimizer, which is
 //!    what makes a folded table match a hand-written sum-of-products;
@@ -37,7 +40,6 @@
 
 pub mod aigopt;
 pub mod conefn;
-pub mod constfold;
 pub mod cutmap;
 pub mod factor;
 pub mod flow;

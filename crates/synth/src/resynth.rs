@@ -370,9 +370,9 @@ mod tests {
         nl.add_output("y", &[y]);
 
         let before = nl.num_gates();
-        crate::constfold::const_fold(&mut nl);
+        crate::aigopt::aig_optimize(&mut nl, None, &mut [], false);
         resynthesize(&mut nl);
-        crate::constfold::const_fold(&mut nl);
+        crate::aigopt::aig_optimize(&mut nl, None, &mut [], false);
         assert!(nl.num_gates() < before);
         // Function preserved.
         let out = nl.output_nets()[0];
@@ -432,8 +432,9 @@ mod tests {
         );
         nl.add_output("q", &[q]);
         resynthesize(&mut nl);
-        crate::constfold::const_fold(&mut nl);
+        crate::aigopt::aig_optimize(&mut nl, None, &mut [], false);
         // The D cone should now be the input directly.
+        let a = nl.input("a").unwrap().nets[0];
         let flop = nl
             .gates()
             .find(|(_, g)| g.kind.is_sequential())

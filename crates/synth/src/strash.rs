@@ -1,11 +1,9 @@
-//! Structural hashing: merging identical gates.
+//! Structural hashing of the *mapped* netlist: merging identical cells.
 //!
-//! After table collapse and resynthesis, many cones share identical product
-//! terms; merging them models the sharing a synthesis tool extracts and is
-//! required for multi-output tables to approach direct-implementation area.
-//! Pre-techmap cleanup now happens inside the AIG core
-//! ([`crate::aigopt`]); this pass remains for the *mapped* netlist, where
-//! techmap's NAND/NOR/AOI instances can duplicate.
+//! Before mapping, sharing is the AIG cleanup's job ([`crate::aigopt`]).
+//! The rule mapper's NAND/NOR/AOI rewrites can then duplicate cells the
+//! cleanup never saw, so the flow runs this pass once after it
+//! (`strash_mapped`).
 
 use std::collections::HashMap;
 use synthir_netlist::{GateKind, NetId, Netlist};
@@ -105,7 +103,7 @@ mod tests {
         nl.add_output("z", &[z]);
         let merges = strash(&mut nl);
         assert_eq!(merges, 1);
-        // Or2(x, x) remains (const_fold would collapse it further).
+        // Or2(x, x) remains: strash merges, it does not fold.
         assert_eq!(nl.num_gates(), 2);
     }
 

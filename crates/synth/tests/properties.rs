@@ -45,10 +45,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn const_fold_preserves_function(seed in any::<u64>()) {
+    fn aig_optimize_preserves_function(seed in any::<u64>()) {
         let golden = random_netlist(5, 24, seed);
         let mut opt = golden.clone();
-        synthir_synth::constfold::const_fold(&mut opt);
+        synthir_synth::aigopt::aig_optimize(&mut opt, None, &mut [], false);
         let res = check_comb_equiv(&golden, &opt, &EquivOptions::new()).unwrap();
         prop_assert!(res.is_equivalent(), "{res:?}");
     }
