@@ -57,6 +57,24 @@ impl BitVec {
         bv
     }
 
+    /// Creates a bit-vector of `len` bits from packed words (bit `i` is bit
+    /// `i % 64` of word `i / 64`); bits past `len` are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != len.div_ceil(64)`.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "bitvec word count mismatch");
+        let mut bv = BitVec { words, len };
+        bv.mask_tail();
+        bv
+    }
+
+    /// The packed words (bits past `len()` are zero).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Creates a bit-vector from an iterator of booleans.
     pub fn from_bools(bits: impl IntoIterator<Item = bool>) -> Self {
         let bools: Vec<bool> = bits.into_iter().collect();

@@ -136,9 +136,37 @@ impl TruthTable {
         })
     }
 
-    /// Whether the function depends on variable `var`.
+    /// Whether the function depends on variable `var`: whether its two
+    /// cofactors differ. Compared in place, word by word, without building
+    /// the cofactors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= inputs`.
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor(var, false) != self.cofactor(var, true)
+        assert!(var < self.inputs, "variable out of range");
+        let words = self.bits.words();
+        if var < 6 {
+            // Both halves of every pair sit in the same word: compare the
+            // var = 0 bits with the var = 1 bits shifted down onto them.
+            // Tail bits past the table are zero, so they compare equal.
+            const LOW: [u64; 6] = [
+                0x5555_5555_5555_5555,
+                0x3333_3333_3333_3333,
+                0x0F0F_0F0F_0F0F_0F0F,
+                0x00FF_00FF_00FF_00FF,
+                0x0000_FFFF_0000_FFFF,
+                0x0000_0000_FFFF_FFFF,
+            ];
+            let shift = 1 << var;
+            words.iter().any(|&w| (w ^ (w >> shift)) & LOW[var] != 0)
+        } else {
+            // Whole words pair up `stride` apart.
+            let stride = 1 << (var - 6);
+            words
+                .chunks(2 * stride)
+                .any(|pair| pair[..stride] != pair[stride..])
+        }
     }
 
     /// The set of variables the function actually depends on.

@@ -44,6 +44,28 @@ proptest! {
     }
 
     #[test]
+    fn depends_on_matches_cofactor_definition(
+        n in 0usize..13,
+        seed in any::<u64>(),
+        keep in any::<u64>(),
+    ) {
+        // Random tables that ignore a random subset of their variables
+        // (single-word below 7 variables, multi-word above), plus both
+        // constants.
+        let base = tt_from_seed(n, seed);
+        let f = TruthTable::from_fn(n, |m| base.eval(m & keep as usize & ((1 << n) - 1)));
+        for tt in [f, TruthTable::constant(n, false), TruthTable::constant(n, true)] {
+            let expected: Vec<usize> = (0..n)
+                .filter(|&v| tt.cofactor(v, false) != tt.cofactor(v, true))
+                .collect();
+            for v in 0..n {
+                prop_assert_eq!(tt.depends_on(v), expected.contains(&v));
+            }
+            prop_assert_eq!(tt.support(), expected);
+        }
+    }
+
+    #[test]
     fn espresso_preserves_function(n in 2usize..7, seed in any::<u64>()) {
         let tt = tt_from_seed(n, seed);
         let min = minimize(

@@ -141,6 +141,13 @@ fn visit(
 /// outputs, and undriven nets reachable through combinational gates only.
 /// Constant nets are not reported (they impose no constraint).
 pub fn comb_support(nl: &Netlist, net: NetId) -> Vec<NetId> {
+    comb_support_bounded(nl, net, usize::MAX).expect("unbounded support")
+}
+
+/// [`comb_support`], or `None` as soon as more than `limit` sources have
+/// been found — the walk stops there instead of exploring the rest of a
+/// wide cone.
+pub fn comb_support_bounded(nl: &Netlist, net: NetId, limit: usize) -> Option<Vec<NetId>> {
     let mut support = Vec::new();
     let mut seen: HashSet<NetId> = HashSet::new();
     let mut stack = vec![net];
@@ -161,9 +168,12 @@ pub fn comb_support(nl: &Netlist, net: NetId) -> Vec<NetId> {
                 }
             }
         }
+        if support.len() > limit {
+            return None;
+        }
     }
     support.sort();
-    support
+    Some(support)
 }
 
 /// The combinational gates in the fan-in cone of a net (excluding flops and
@@ -290,6 +300,19 @@ mod tests {
         let z = nets[4];
         let sup = comb_support(&nl, z);
         assert_eq!(sup, vec![nets[0], nets[1]]);
+    }
+
+    #[test]
+    fn bounded_support_gives_up_past_the_limit() {
+        let (nl, nets) = chain();
+        let z = nets[4];
+        assert_eq!(
+            comb_support_bounded(&nl, z, 2),
+            Some(vec![nets[0], nets[1]])
+        );
+        assert_eq!(comb_support_bounded(&nl, z, 1), None);
+        assert_eq!(comb_support_bounded(&nl, nets[3], 1), None);
+        assert_eq!(comb_support_bounded(&nl, nets[0], 1), Some(vec![nets[0]]));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Cone extraction: collapsing a combinational cone to a truth table.
 
-use synthir_logic::TruthTable;
-use synthir_netlist::{topo, NetId, Netlist};
+use std::collections::HashMap;
+use synthir_logic::{BitVec, TruthTable};
+use synthir_netlist::{topo, GateId, GateKind, NetId, Netlist};
 
 /// The complete function of a combinational cone rooted at `root`, expressed
 /// over the cone's support (primary inputs and flop outputs), or `None` if
@@ -13,62 +14,98 @@ pub fn cone_function(
     root: NetId,
     max_support: usize,
 ) -> Option<(Vec<NetId>, TruthTable)> {
-    let support = topo::comb_support(nl, root);
-    if support.len() > max_support {
-        return None;
-    }
-    Some((support.clone(), cone_function_on(nl, root, &support)))
+    let support = topo::comb_support_bounded(nl, root, max_support)?;
+    let tt = cone_function_on(nl, root, &support);
+    Some((support, tt))
 }
 
 /// The function of a cone over an explicitly provided support ordering.
 ///
 /// # Panics
 ///
-/// Panics if the cone depends on sources outside `support` (other than
-/// constants) or `support.len() > 24`.
+/// Panics if `support.len() > 24`. Debug builds also panic if the cone
+/// reads a source outside `support` (other than constants); release builds
+/// read such a source as 0.
 pub fn cone_function_on(nl: &Netlist, root: NetId, support: &[NetId]) -> TruthTable {
+    eval_cone(nl, root, support, &topo::cone_gates(nl, root))
+}
+
+/// [`cone_function_on`] for a caller that already holds the cone's gates
+/// (`topo::cone_gates(nl, root)`, inputs before consumers).
+///
+/// The cone is compiled once into a program over local value slots —
+/// the support, the two constants, then one slot per gate — and run 64
+/// patterns at a time, so the work is proportional to the cone, not to
+/// the netlist.
+pub(crate) fn eval_cone(
+    nl: &Netlist,
+    root: NetId,
+    support: &[NetId],
+    gates: &[GateId],
+) -> TruthTable {
     let k = support.len();
     assert!(k <= 24, "cone support too large to enumerate");
-    let gates = topo::cone_gates(nl, root);
-    let n_patterns = 1usize << k;
-    let words = n_patterns.div_ceil(64);
-    let mut bits = synthir_logic::BitVec::zeros(n_patterns);
-    let mut vals = vec![0u64; nl.num_nets()];
-    for w in 0..words {
-        // Pattern p (global index w*64 + bit) assigns support[i] the i-th
-        // address bit of the pattern index.
-        for (i, &s) in support.iter().enumerate() {
-            let mut word = 0u64;
-            for b in 0..64 {
-                let p = w * 64 + b;
-                if p < n_patterns && p >> i & 1 != 0 {
-                    word |= 1 << b;
-                }
+    let (zero, one) = (k as u32, k as u32 + 1);
+    let mut slot: HashMap<NetId, u32> = support
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (s, i as u32))
+        .collect();
+    let slot_of = |slot: &HashMap<NetId, u32>, n: NetId| match slot.get(&n) {
+        Some(&s) => s,
+        None => match nl.as_constant(n) {
+            Some(v) => u32::from(v) + zero,
+            None => {
+                debug_assert!(false, "cone reads {n:?}, which is outside its support");
+                zero
             }
-            vals[s.index()] = word;
+        },
+    };
+    let mut program: Vec<(GateKind, [u32; 4])> = Vec::with_capacity(gates.len());
+    for (j, &gid) in gates.iter().enumerate() {
+        let g = nl.gate(gid);
+        let mut ins = [zero; 4];
+        for (pin, &i) in g.inputs.iter().enumerate() {
+            ins[pin] = slot_of(&slot, i);
         }
-        // Constants.
-        for (_, g) in nl.gates() {
-            if g.kind.is_constant() {
-                vals[g.output.index()] = g.kind.eval_words(&[]);
-            }
-        }
-        let mut ins: Vec<u64> = Vec::with_capacity(4);
-        for &gid in &gates {
-            let g = nl.gate(gid);
-            ins.clear();
-            ins.extend(g.inputs.iter().map(|i| vals[i.index()]));
-            vals[g.output.index()] = g.kind.eval_words(&ins);
-        }
-        let rootw = vals[root.index()];
-        for b in 0..64 {
-            let p = w * 64 + b;
-            if p < n_patterns && rootw >> b & 1 != 0 {
-                bits.set(p, true);
-            }
-        }
+        program.push((g.kind, ins));
+        slot.insert(g.output, one + 1 + j as u32);
     }
-    TruthTable::from_bits(k, bits)
+    let root_slot = slot_of(&slot, root) as usize;
+
+    // Bit b of the pattern word for variable i < 6 is bit i of b; higher
+    // variables are constant within a word.
+    const VAR_WORDS: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    let n_patterns = 1usize << k;
+    let mut vals = vec![0u64; k + 2 + gates.len()];
+    vals[one as usize] = u64::MAX;
+    let mut words = Vec::with_capacity(n_patterns.div_ceil(64));
+    for w in 0..n_patterns.div_ceil(64) {
+        for (i, v) in vals[..k].iter_mut().enumerate() {
+            *v = match VAR_WORDS.get(i) {
+                Some(&word) => word,
+                None if w >> (i - 6) & 1 != 0 => u64::MAX,
+                None => 0,
+            };
+        }
+        for (j, (kind, ins)) in program.iter().enumerate() {
+            let arity = kind.arity();
+            let mut x = [0u64; 4];
+            for (xv, &s) in x.iter_mut().zip(&ins[..arity]) {
+                *xv = vals[s as usize];
+            }
+            vals[k + 2 + j] = kind.eval_words(&x[..arity]);
+        }
+        words.push(vals[root_slot]);
+    }
+    TruthTable::from_bits(k, BitVec::from_words(n_patterns, words))
 }
 
 #[cfg(test)]
